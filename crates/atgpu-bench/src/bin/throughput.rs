@@ -492,6 +492,8 @@ fn main() {
     // drop plan plus a device loss at the round start — retry, backoff
     // and recovery counters are printed for the CI job summary, and the
     // degraded run's answers are checked against the fault-free run.
+    // `degraded-sim-total` is the simulated total-time ratio, not host
+    // time.
     {
         let cfg = bench_config();
         let w = VecAdd::new(200_000, 1);
@@ -514,7 +516,7 @@ fn main() {
         let s = degraded.device_stats_total();
         println!(
             "fault-injection (vecadd_sharded_4dev, seeded drops + device-2 loss): \
-             retries={} backoff={:.3}ms recoveries={} degraded-wall-clock={:.2}x \
+             retries={} backoff={:.3}ms recoveries={} degraded-sim-total={:.2}x \
              answers=bit-identical",
             s.retries,
             s.backoff_ms,

@@ -105,8 +105,9 @@ impl CacheEntry {
 pub struct CacheStats {
     /// Launches served from a cached compilation.
     pub hits: u64,
-    /// Launches that compiled fresh (and, when enabled, populated the
-    /// cache).
+    /// Launches that compiled fresh and populated the cache.  A lookup
+    /// that loses a concurrent compile race to another thread shares the
+    /// winner's entry and counts as a hit.
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -226,14 +227,17 @@ impl KernelCache {
         }
         // Compile outside any lock: misses on different keys proceed in
         // parallel and never block a concurrent hit.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = CacheEntry::new(CompiledKernel::compile(kernel, bases, b, nregs));
         let mut map = self.map.write().expect("cache lock poisoned");
         if let Some(entry) = map.get(&key) {
             // A concurrent miss on the same key won the race; share its
-            // entry so the recorded trace converges on one slot.
+            // entry so the recorded trace converges on one slot.  Only the
+            // inserting lookup counts as the miss, so the counters are a
+            // function of the lookups, not of how threads interleave.
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(entry);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut order = self.order.lock().expect("cache order lock poisoned");
         while map.len() >= capacity {
             match order.pop_front() {
@@ -327,6 +331,30 @@ mod tests {
         cache.set_enabled(true);
         cache.get_or_compile(&k, &[0], 4, 1);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// Two threads racing to compile one key count one miss (the insert)
+    /// and one hit (the lookup that lost the race or came after it),
+    /// however they interleave.
+    #[test]
+    fn racing_lookups_count_one_miss() {
+        let cache = KernelCache::new(8);
+        let k = kernel("a", 1);
+        let barrier = std::sync::Barrier::new(2);
+        let entries: Vec<Arc<CacheEntry>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_compile(&k, &[0], 4, 1)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&entries[0], &entries[1]));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 
     #[test]

@@ -21,7 +21,14 @@
 //! a single-device launch of the same grid — regardless of the device
 //! count, the shard boundaries, or how MP simulation threads interleave.
 //! The differential suite in `tests/cluster_differential.rs` pins this
-//! down over randomized kernels and shard plans.
+//! down over randomized kernels and shard plans.  A fault-free launch
+//! whose single shard covers the whole grid — every launch of a
+//! 1-device run, and plain `Launch` steps on any cluster — skips the log
+//! and writes in place through [`Device::run_kernel_with`], exactly as a
+//! lone device does.
+//!
+//! This driver is the crate's only host-step interpreter:
+//! [`crate::run_program`] runs a single GPU as the 1-device cluster.
 //!
 //! ## Timing
 //!
@@ -538,7 +545,7 @@ fn two_mems(
 /// Per-run fault bookkeeping for the cluster driver: liveness, the
 /// per-device mutation journals that double as host-side checkpoints,
 /// and the recovery counters.  Only constructed when the fault plan is
-/// non-empty — a faultless run never journals and never branches here.
+/// non-empty — a faultless run never journals.
 struct FaultState {
     rt: FaultRuntime,
     /// Liveness per device (deaths are permanent).
@@ -608,6 +615,77 @@ fn surviving_subspec(spec: &ClusterSpec, alive: &[bool]) -> (ClusterSpec, Vec<us
     (sub, idx)
 }
 
+/// Charges one logical transfer on `edge`: a plain copy in a fault-free
+/// run, otherwise the fault runtime's retry loop (reporting per-attempt
+/// segments to the tracer when tracing), with retries and backoff
+/// accruing on `obs`.
+fn charge_transfer(
+    rt: Option<&mut FaultRuntime>,
+    tracer: Option<&mut Tracer>,
+    edge: LinkEdge,
+    round: usize,
+    backoff_unit_ms: f64,
+    obs: &mut DeviceRoundObservation,
+    mut copy: impl FnMut() -> f64,
+) -> f64 {
+    let Some(rt) = rt else { return copy() };
+    let (retries, backoff) = (&mut obs.retries, &mut obs.backoff_ms);
+    match tracer {
+        Some(tr) => {
+            let on_seg = |a, b, w| tr.segs.push(a, b, w);
+            rt.transfer_segmented(edge, round, backoff_unit_ms, retries, backoff, copy, on_seg)
+        }
+        None => rt.transfer(edge, round, backoff_unit_ms, retries, backoff, copy),
+    }
+}
+
+/// Schedules `ms` of work on `device`'s timeline and, when tracing,
+/// records its span (split into the pending retry segments, if any).
+#[allow(clippy::too_many_arguments)]
+fn advance_traced(
+    tl: &mut StreamTimeline,
+    tracer: &mut Option<Tracer>,
+    round: usize,
+    device: usize,
+    resource: StreamResource,
+    stream: u32,
+    kind: SpanKind,
+    words: u64,
+    predicted_ms: f64,
+    ms: f64,
+) {
+    let (t0, t1) = tl.advance_spanned(stream, resource, ms);
+    if let Some(tr) = tracer.as_mut() {
+        tr.record(round, device as u32, resource, stream, kind, words, predicted_ms, t0, t1);
+    }
+}
+
+/// The devices a write aimed at `d` lands on: `d` itself while alive
+/// (always, in a fault-free run), every survivor once it is dead.
+/// `survivors` holds the list in the second case.
+fn receivers<'a>(
+    fs: &Option<FaultState>,
+    d: &'a usize,
+    survivors: &'a mut Vec<usize>,
+) -> &'a [usize] {
+    match fs {
+        Some(f) if !f.alive[*d] => {
+            *survivors = f.survivors();
+            survivors
+        }
+        _ => std::slice::from_ref(d),
+    }
+}
+
+/// The device a read from `d` is served by: `d` itself while alive, the
+/// heir (which holds the recovered data) once it is dead.
+fn server(fs: &Option<FaultState>, d: usize) -> usize {
+    match fs {
+        Some(f) if !f.alive[d] => f.heir(),
+        _ => d,
+    }
+}
+
 /// Handles every death scheduled at the start of `round`: marks the
 /// device dead, errors if nobody survives, and replays its journal onto
 /// each survivor — last-write-wins on the global sequence number, so a
@@ -670,21 +748,19 @@ fn process_deaths(
             if s == fs.heir() {
                 let t = host_xfer[s].replay_in(applied);
                 devs[s].xfer_in_ms += t;
-                let (t0, t1) = timelines[s].advance_spanned(0, StreamResource::HostToDevice, t);
-                if let Some(tr) = tracer.as_mut() {
-                    let pred = host_xfer[s].link().cost_ms(1, applied);
-                    tr.record(
-                        round,
-                        s as u32,
-                        StreamResource::HostToDevice,
-                        0,
-                        SpanKind::Replay,
-                        applied,
-                        pred,
-                        t0,
-                        t1,
-                    );
-                }
+                let pred = host_xfer[s].link().cost_ms(1, applied);
+                advance_traced(
+                    &mut timelines[s],
+                    tracer,
+                    round,
+                    s,
+                    StreamResource::HostToDevice,
+                    0,
+                    SpanKind::Replay,
+                    applied,
+                    pred,
+                    t,
+                );
             }
             fs.recoveries[s] += 1;
             // The survivor now answers for those words; fold the dead
@@ -707,7 +783,8 @@ fn process_deaths(
 /// launch is embarrassingly parallel on the host.  Results, statistics
 /// and timing are bit-identical to sequential dispatch: shard outcomes
 /// are folded in shard-plan order and the logs merge through the shared
-/// block-order [`apply_write_log`].
+/// block-order [`apply_write_log`].  A fault-free whole-grid single
+/// shard instead writes in place (see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn run_sharded_launch(
     cluster: &Cluster,
@@ -724,6 +801,33 @@ fn run_sharded_launch(
     fault: &mut Option<FaultState>,
     tracer: &mut Option<Tracer>,
 ) -> Result<(), SimError> {
+    // Folds one shard's outcome into its device's round: shards on one
+    // device run back to back on its compute stream.
+    let mut charge = |shard: &Shard, stats: &KernelStats| {
+        let d = shard.device as usize;
+        let slow = fault.as_ref().map_or(1.0, |f| f.rt.clock_factor(shard.device));
+        let ms = stats.cycles as f64 / cluster_spec.devices[d].clock_cycles_per_ms * slow;
+        devs[d].kernel_ms += ms;
+        devs[d].kernel_stats.merge_serial(stats);
+        let (res, kind) = (StreamResource::Compute, SpanKind::Kernel);
+        advance_traced(&mut timelines[d], tracer, round, d, res, 0, kind, shard.blocks(), -1.0, ms);
+    };
+
+    // A fault-free launch whose one shard covers the whole grid writes in
+    // place on its device, like a lone GPU: no snapshot reads, no write
+    // log to sort and apply.  Every fault-free single-device launch takes
+    // this path.
+    if let (None, [shard]) = (fault.as_ref(), shards) {
+        if shard.start == 0 && shard.end == kernel.blocks() {
+            let device = cluster.device_checked(shard.device)?;
+            let gmem = &mut gmems[shard.device as usize];
+            let stats =
+                device.run_kernel_with(kernel, gmem, config.mode, config.detect_races, engine)?;
+            charge(shard, &stats);
+            return Ok(());
+        }
+    }
+
     // Under an active fault plan, a dead device's shards are
     // re-apportioned over the survivors through the cost-driven planner;
     // the takeover shards' writes are applied to *every* alive device so
@@ -828,29 +932,8 @@ fn run_sharded_launch(
             stats_in_order.push(stats);
         }
     }
-    for (shard, stats) in shards.iter().zip(stats_in_order) {
-        let d = shard.device as usize;
-        let slow = fault.as_ref().map_or(1.0, |f| f.rt.clock_factor(shard.device));
-        let ms = stats.cycles as f64 / cluster_spec.devices[d].clock_cycles_per_ms * slow;
-        let obs = &mut devs[d];
-        obs.kernel_ms += ms;
-        obs.kernel_stats.merge_serial(&stats);
-        // Shards on one device run back to back on its compute stream.
-        let (t0, t1) = timelines[d].advance_spanned(0, StreamResource::Compute, ms);
-        if let Some(tr) = tracer.as_mut() {
-            let blocks = shard.end - shard.start;
-            tr.record(
-                round,
-                shard.device,
-                StreamResource::Compute,
-                0,
-                SpanKind::Kernel,
-                blocks,
-                -1.0,
-                t0,
-                t1,
-            );
-        }
+    for (shard, stats) in shards.iter().zip(&stats_in_order) {
+        charge(shard, stats);
     }
     if config.detect_races {
         let merged: Vec<WriteRec> = logs
@@ -971,6 +1054,7 @@ pub fn run_cluster_program_on(
         .collect();
 
     let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
+    let sync_ms = cluster_spec.sync_ms;
     let mut fs = FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n));
     let mut tracer = if config.trace { Some(Tracer::new(config.trace_capacity)) } else { None };
     let mut rounds = Vec::with_capacity(program.rounds.len());
@@ -991,88 +1075,41 @@ pub fn run_cluster_program_on(
         for step in &round.steps {
             match step {
                 HostStep::TransferIn { host: h, host_off, dev, dev_off, words, device, stream } => {
-                    let d = *device as usize;
                     let src =
                         &host.bufs[h.0 as usize][*host_off as usize..(*host_off + *words) as usize];
-                    match fs.as_mut() {
-                        None => {
-                            let dst = gmems[d].base(dev.0) + dev_off;
-                            let t = host_xfer[d].to_device(&mut gmems[d], dst, src);
-                            devs[d].xfer_in_ms += t;
-                            let (t0, t1) = timelines[d].advance_spanned(
-                                *stream,
-                                StreamResource::HostToDevice,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[d].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    *device,
-                                    StreamResource::HostToDevice,
-                                    *stream,
-                                    SpanKind::TransferIn,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
+                    // A dead target's input is broadcast to every
+                    // survivor — any of them may serve the data (takeover
+                    // shards, redirected outputs, later recoveries).  Each
+                    // pays its own link cost.
+                    let mut survivors = Vec::new();
+                    for &s in receivers(&fs, &(*device as usize), &mut survivors) {
+                        let dst = gmems[s].base(dev.0) + dev_off;
+                        let t = charge_transfer(
+                            fs.as_mut().map(|f| &mut f.rt),
+                            tracer.as_mut(),
+                            LinkEdge::Host(s as u32),
+                            round_idx,
+                            sync_ms,
+                            &mut devs[s],
+                            || host_xfer[s].to_device(&mut gmems[s], dst, src),
+                        );
+                        devs[s].xfer_in_ms += t;
+                        if let Some(f) = fs.as_mut() {
+                            f.journal_words(s, dst, src);
                         }
-                        Some(f) => {
-                            // A dead target's input is broadcast to every
-                            // survivor — any of them may serve the data
-                            // (takeover shards, redirected outputs, later
-                            // recoveries).  Each pays its own link cost.
-                            let targets = if f.alive[d] { vec![d] } else { f.survivors() };
-                            for s in targets {
-                                let dst = gmems[s].base(dev.0) + dev_off;
-                                let obs = &mut devs[s];
-                                let t = match tracer.as_mut() {
-                                    Some(tr) => {
-                                        let segs = &mut tr.segs;
-                                        f.rt.transfer_segmented(
-                                            LinkEdge::Host(s as u32),
-                                            round_idx,
-                                            cluster_spec.sync_ms,
-                                            &mut obs.retries,
-                                            &mut obs.backoff_ms,
-                                            || host_xfer[s].to_device(&mut gmems[s], dst, src),
-                                            |a, b, w| segs.push(a, b, w),
-                                        )
-                                    }
-                                    None => f.rt.transfer(
-                                        LinkEdge::Host(s as u32),
-                                        round_idx,
-                                        cluster_spec.sync_ms,
-                                        &mut obs.retries,
-                                        &mut obs.backoff_ms,
-                                        || host_xfer[s].to_device(&mut gmems[s], dst, src),
-                                    ),
-                                };
-                                obs.xfer_in_ms += t;
-                                f.journal_words(s, dst, src);
-                                let (t0, t1) = timelines[s].advance_spanned(
-                                    *stream,
-                                    StreamResource::HostToDevice,
-                                    t,
-                                );
-                                if let Some(tr) = tracer.as_mut() {
-                                    let pred = host_xfer[s].link().cost_ms(1, *words);
-                                    tr.record(
-                                        round_idx,
-                                        s as u32,
-                                        StreamResource::HostToDevice,
-                                        *stream,
-                                        SpanKind::TransferIn,
-                                        *words,
-                                        pred,
-                                        t0,
-                                        t1,
-                                    );
-                                }
-                            }
-                        }
+                        let pred = host_xfer[s].link().cost_ms(1, *words);
+                        advance_traced(
+                            &mut timelines[s],
+                            &mut tracer,
+                            round_idx,
+                            s,
+                            StreamResource::HostToDevice,
+                            *stream,
+                            SpanKind::TransferIn,
+                            *words,
+                            pred,
+                            t,
+                        );
                     }
                 }
                 HostStep::TransferOut {
@@ -1084,85 +1121,35 @@ pub fn run_cluster_program_on(
                     device,
                     stream,
                 } => {
-                    let d = *device as usize;
                     let dst = &mut host.bufs[h.0 as usize]
                         [*host_off as usize..(*host_off + *words) as usize];
-                    match fs.as_mut() {
-                        None => {
-                            let src = gmems[d].base(dev.0) + dev_off;
-                            let t = host_xfer[d].to_host(&gmems[d], src, dst);
-                            devs[d].xfer_out_ms += t;
-                            let (t0, t1) = timelines[d].advance_spanned(
-                                *stream,
-                                StreamResource::DeviceToHost,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[d].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    *device,
-                                    StreamResource::DeviceToHost,
-                                    *stream,
-                                    SpanKind::TransferOut,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // A dead source's output is served by the heir
-                            // (lowest-index survivor, which holds the
-                            // recovered data) over the heir's host link.
-                            let s = if f.alive[d] { d } else { f.heir() };
-                            let src = gmems[s].base(dev.0) + dev_off;
-                            let obs = &mut devs[s];
-                            let t = match tracer.as_mut() {
-                                Some(tr) => {
-                                    let segs = &mut tr.segs;
-                                    f.rt.transfer_segmented(
-                                        LinkEdge::Host(s as u32),
-                                        round_idx,
-                                        cluster_spec.sync_ms,
-                                        &mut obs.retries,
-                                        &mut obs.backoff_ms,
-                                        || host_xfer[s].to_host(&gmems[s], src, dst),
-                                        |a, b, w| segs.push(a, b, w),
-                                    )
-                                }
-                                None => f.rt.transfer(
-                                    LinkEdge::Host(s as u32),
-                                    round_idx,
-                                    cluster_spec.sync_ms,
-                                    &mut obs.retries,
-                                    &mut obs.backoff_ms,
-                                    || host_xfer[s].to_host(&gmems[s], src, dst),
-                                ),
-                            };
-                            obs.xfer_out_ms += t;
-                            let (t0, t1) = timelines[s].advance_spanned(
-                                *stream,
-                                StreamResource::DeviceToHost,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[s].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    s as u32,
-                                    StreamResource::DeviceToHost,
-                                    *stream,
-                                    SpanKind::TransferOut,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
-                        }
-                    }
+                    // A dead source's output is served by the heir over
+                    // the heir's host link.
+                    let s = server(&fs, *device as usize);
+                    let src = gmems[s].base(dev.0) + dev_off;
+                    let t = charge_transfer(
+                        fs.as_mut().map(|f| &mut f.rt),
+                        tracer.as_mut(),
+                        LinkEdge::Host(s as u32),
+                        round_idx,
+                        sync_ms,
+                        &mut devs[s],
+                        || host_xfer[s].to_host(&gmems[s], src, dst),
+                    );
+                    devs[s].xfer_out_ms += t;
+                    let pred = host_xfer[s].link().cost_ms(1, *words);
+                    advance_traced(
+                        &mut timelines[s],
+                        &mut tracer,
+                        round_idx,
+                        s,
+                        StreamResource::DeviceToHost,
+                        *stream,
+                        SpanKind::TransferOut,
+                        *words,
+                        pred,
+                        t,
+                    );
                 }
                 HostStep::SyncStream { device, stream } => {
                     if fs.as_ref().is_none_or(|f| f.alive[*device as usize]) {
@@ -1175,142 +1162,57 @@ pub fn run_cluster_program_on(
                     }
                 }
                 HostStep::TransferPeer { src, dst, buf, src_off, dst_off, words } => {
-                    let (s0, d0) = (*src as usize, *dst as usize);
-                    match fs.as_mut() {
-                        None => {
-                            let base = gmems[s0].base(buf.0);
-                            let dst_base = gmems[d0].base(buf.0);
-                            let (sm, dm) = two_mems(&mut gmems, s0, d0);
-                            let t = peer_xfer[s0][d0].peer(
-                                sm,
-                                base + src_off,
-                                dm,
-                                dst_base + dst_off,
-                                *words,
+                    // Dead source → served by the heir; dead destination →
+                    // broadcast to every survivor.  When redirection folds
+                    // both endpoints onto one device the copy is local and
+                    // free.
+                    let sp = server(&fs, *src as usize);
+                    let w = *words as usize;
+                    let mut survivors = Vec::new();
+                    for &r in receivers(&fs, &(*dst as usize), &mut survivors) {
+                        let src_addr = gmems[sp].base(buf.0) + src_off;
+                        let dst_addr = gmems[r].base(buf.0) + dst_off;
+                        if r == sp {
+                            let (a, d) = (src_addr as usize, dst_addr as usize);
+                            gmems[r].words_mut().copy_within(a..a + w, d);
+                        } else {
+                            let t = charge_transfer(
+                                fs.as_mut().map(|f| &mut f.rt),
+                                tracer.as_mut(),
+                                LinkEdge::Peer(sp as u32, r as u32),
+                                round_idx,
+                                sync_ms,
+                                &mut devs[r],
+                                || {
+                                    let (sm, dm) = two_mems(&mut gmems, sp, r);
+                                    peer_xfer[sp][r].peer(sm, src_addr, dm, dst_addr, *words)
+                                },
                             );
-                            devs[s0].peer_ms += t;
-                            devs[d0].peer_ms += t;
+                            devs[sp].peer_ms += t;
+                            devs[r].peer_ms += t;
                             // A peer copy occupies both endpoints' peer
-                            // engines.
-                            let (a0, a1) =
-                                timelines[s0].advance_spanned(0, StreamResource::Peer, t);
-                            let (b0, b1) =
-                                timelines[d0].advance_spanned(0, StreamResource::Peer, t);
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = peer_xfer[s0][d0].link().cost_ms(1, *words);
-                                tr.record(
+                            // engines.  The receiver's span is recorded
+                            // first, so it carries the retry/backoff
+                            // segments; the source shows the fused copy.
+                            let pred = peer_xfer[sp][r].link().cost_ms(1, *words);
+                            for e in [r, sp] {
+                                advance_traced(
+                                    &mut timelines[e],
+                                    &mut tracer,
                                     round_idx,
-                                    *src,
+                                    e,
                                     StreamResource::Peer,
                                     0,
                                     SpanKind::Peer,
                                     *words,
                                     pred,
-                                    a0,
-                                    a1,
-                                );
-                                tr.record(
-                                    round_idx,
-                                    *dst,
-                                    StreamResource::Peer,
-                                    0,
-                                    SpanKind::Peer,
-                                    *words,
-                                    pred,
-                                    b0,
-                                    b1,
+                                    t,
                                 );
                             }
                         }
-                        Some(f) => {
-                            // Dead source → served by the heir; dead
-                            // destination → broadcast to every survivor.
-                            // When redirection folds both endpoints onto
-                            // one device the copy is local and free.
-                            let sp = if f.alive[s0] { s0 } else { f.heir() };
-                            let receivers = if f.alive[d0] { vec![d0] } else { f.survivors() };
-                            for r in receivers {
-                                let src_addr = gmems[sp].base(buf.0) + src_off;
-                                let dst_addr = gmems[r].base(buf.0) + dst_off;
-                                let w = *words as usize;
-                                if r == sp {
-                                    let heap = gmems[r].words_mut();
-                                    heap.copy_within(
-                                        src_addr as usize..src_addr as usize + w,
-                                        dst_addr as usize,
-                                    );
-                                } else {
-                                    let obs = &mut devs[r];
-                                    let t = match tracer.as_mut() {
-                                        Some(tr) => {
-                                            let segs = &mut tr.segs;
-                                            f.rt.transfer_segmented(
-                                                LinkEdge::Peer(sp as u32, r as u32),
-                                                round_idx,
-                                                cluster_spec.sync_ms,
-                                                &mut obs.retries,
-                                                &mut obs.backoff_ms,
-                                                || {
-                                                    let (sm, dm) = two_mems(&mut gmems, sp, r);
-                                                    peer_xfer[sp][r]
-                                                        .peer(sm, src_addr, dm, dst_addr, *words)
-                                                },
-                                                |a, b, w| segs.push(a, b, w),
-                                            )
-                                        }
-                                        None => f.rt.transfer(
-                                            LinkEdge::Peer(sp as u32, r as u32),
-                                            round_idx,
-                                            cluster_spec.sync_ms,
-                                            &mut obs.retries,
-                                            &mut obs.backoff_ms,
-                                            || {
-                                                let (sm, dm) = two_mems(&mut gmems, sp, r);
-                                                peer_xfer[sp][r]
-                                                    .peer(sm, src_addr, dm, dst_addr, *words)
-                                            },
-                                        ),
-                                    };
-                                    devs[sp].peer_ms += t;
-                                    devs[r].peer_ms += t;
-                                    let (a0, a1) =
-                                        timelines[r].advance_spanned(0, StreamResource::Peer, t);
-                                    let (b0, b1) =
-                                        timelines[sp].advance_spanned(0, StreamResource::Peer, t);
-                                    if let Some(tr) = tracer.as_mut() {
-                                        let pred = peer_xfer[sp][r].link().cost_ms(1, *words);
-                                        // The receiver's span carries the
-                                        // retry/backoff segments; the
-                                        // source shows the fused copy.
-                                        tr.record(
-                                            round_idx,
-                                            r as u32,
-                                            StreamResource::Peer,
-                                            0,
-                                            SpanKind::Peer,
-                                            *words,
-                                            pred,
-                                            a0,
-                                            a1,
-                                        );
-                                        tr.record(
-                                            round_idx,
-                                            sp as u32,
-                                            StreamResource::Peer,
-                                            0,
-                                            SpanKind::Peer,
-                                            *words,
-                                            pred,
-                                            b0,
-                                            b1,
-                                        );
-                                    }
-                                }
-                                let vals: Vec<i64> = gmems[r].words()
-                                    [dst_addr as usize..dst_addr as usize + w]
-                                    .to_vec();
-                                f.journal_words(r, dst_addr, &vals);
-                            }
+                        if let Some(f) = fs.as_mut() {
+                            let a = dst_addr as usize;
+                            f.journal_words(r, dst_addr, &gmems[r].words()[a..a + w]);
                         }
                     }
                 }
@@ -1355,7 +1257,7 @@ pub fn run_cluster_program_on(
         for (obs, tl) in devs.iter_mut().zip(&timelines) {
             obs.stream_ms = tl.finish();
         }
-        rounds.push(ClusterRoundObservation { devices: devs, sync_ms: cluster_spec.sync_ms });
+        rounds.push(ClusterRoundObservation { devices: devs, sync_ms });
     }
 
     let mut device_stats: Vec<DeviceStats> = cluster.devices.iter().map(Device::stats).collect();

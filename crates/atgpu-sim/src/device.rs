@@ -32,6 +32,14 @@ use std::sync::{Arc, OnceLock};
 /// slot a cold launch records into.
 type TraceSlot<'a> = Option<&'a OnceLock<Arc<[StepEvent]>>>;
 
+/// Where a launch's global writes go: straight into memory (whole-grid
+/// launches, optionally race-checked), or deferred to a caller-owned log
+/// for one shard's block range.
+enum Writes<'a> {
+    InPlace { gmem: &'a mut GlobalMemory, detect_races: bool },
+    Logged { gmem: &'a GlobalMemory, range: (u64, u64), log: &'a mut Vec<WriteRec> },
+}
+
 /// Aggregated observations from one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -238,41 +246,7 @@ impl Device {
         detect_races: bool,
         engine: EngineSel,
     ) -> Result<KernelStats, SimError> {
-        let ell = occupancy(&self.machine, kernel.shared_words, self.spec.h_limit);
-        if ell == 0 {
-            return Err(SimError::SharedTooLarge {
-                kernel: kernel.name.clone(),
-                requested: kernel.shared_words,
-                available: self.machine.m,
-            });
-        }
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
-
-        match engine {
-            EngineSel::MicroOp => {
-                let entry = self.cache.get_or_compile(kernel, &bases, self.machine.b as u32, nregs);
-                let compiled = &entry.compiled;
-                let make = || BlockExec::new(compiled);
-                let slot = compiled.replayable.then_some(&entry.trace);
-                self.dispatch(
-                    kernel,
-                    gmem,
-                    mode,
-                    detect_races,
-                    ell,
-                    &make,
-                    compiled.replayable,
-                    slot,
-                )
-            }
-            EngineSel::Reference => {
-                let b = self.machine.b as u32;
-                let bases = &bases[..];
-                let make = || WarpExec::new(kernel, bases, b, nregs);
-                self.dispatch(kernel, gmem, mode, detect_races, ell, &make, false, None)
-            }
-        }
+        self.launch(kernel, Writes::InPlace { gmem, detect_races }, mode, engine)
     }
 
     /// Runs the block range `range.0..range.1` of a launch — one **shard**
@@ -293,6 +267,20 @@ impl Device {
         range: (u64, u64),
         log: &mut Vec<WriteRec>,
     ) -> Result<KernelStats, SimError> {
+        self.launch(kernel, Writes::Logged { gmem, range, log }, mode, engine)
+    }
+
+    /// The launch preamble both entry points share: the occupancy check,
+    /// the register count and buffer bases the executors are built from,
+    /// and the engine choice (micro-op programs come from the kernel
+    /// cache).
+    fn launch(
+        &self,
+        kernel: &Kernel,
+        writes: Writes<'_>,
+        mode: ExecMode,
+        engine: EngineSel,
+    ) -> Result<KernelStats, SimError> {
         let ell = occupancy(&self.machine, kernel.shared_words, self.spec.h_limit);
         if ell == 0 {
             return Err(SimError::SharedTooLarge {
@@ -302,6 +290,10 @@ impl Device {
             });
         }
         let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
+        let gmem = match &writes {
+            Writes::InPlace { gmem, .. } => &**gmem,
+            Writes::Logged { gmem, .. } => *gmem,
+        };
         let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
 
         match engine {
@@ -310,46 +302,50 @@ impl Device {
                 let compiled = &entry.compiled;
                 let make = || BlockExec::new(compiled);
                 let slot = compiled.replayable.then_some(&entry.trace);
-                self.shard_dispatch(
-                    &kernel.name,
-                    gmem,
-                    mode,
-                    ell,
-                    &make,
-                    compiled.replayable,
-                    slot,
-                    range,
-                    log,
-                )
+                self.dispatch(kernel, writes, mode, ell, &make, compiled.replayable, slot)
             }
             EngineSel::Reference => {
                 let b = self.machine.b as u32;
                 let bases = &bases[..];
                 let make = || WarpExec::new(kernel, bases, b, nregs);
-                self.shard_dispatch(&kernel.name, gmem, mode, ell, &make, false, None, range, log)
+                self.dispatch(kernel, writes, mode, ell, &make, false, None)
             }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn shard_dispatch<E: BlockSim>(
+    fn dispatch<E: BlockSim>(
         &self,
-        name: &str,
-        gmem: &GlobalMemory,
+        kernel: &Kernel,
+        writes: Writes<'_>,
         mode: ExecMode,
         ell: u64,
         make: &(impl Fn() -> E + Sync),
         replayable: bool,
         slot: TraceSlot<'_>,
-        range: (u64, u64),
-        log: &mut Vec<WriteRec>,
     ) -> Result<KernelStats, SimError> {
-        match mode {
-            ExecMode::Sequential => {
+        let name = &kernel.name;
+        match (writes, mode) {
+            (Writes::InPlace { gmem, detect_races: false }, ExecMode::Sequential) => {
+                let mut acc = GmemAccess::Direct(gmem);
+                let range = (0, kernel.blocks());
+                self.run_sequential(name, &mut acc, ell, make, replayable, slot, range)
+            }
+            (Writes::InPlace { gmem, detect_races }, mode) => {
+                // Race detection and MP threads need deferred writes;
+                // timing is unchanged (same event loop, same controller).
+                let mut log = Vec::new();
+                let range = (0, kernel.blocks());
+                let logged = Writes::Logged { gmem: &*gmem, range, log: &mut log };
+                let stats = self.dispatch(kernel, logged, mode, ell, make, replayable, slot)?;
+                apply_write_log(kernel, gmem, log, detect_races)?;
+                Ok(stats)
+            }
+            (Writes::Logged { gmem, range, log }, ExecMode::Sequential) => {
                 let mut acc = GmemAccess::Logged { base: gmem, log };
                 self.run_sequential(name, &mut acc, ell, make, replayable, slot, range)
             }
-            ExecMode::Parallel { threads } => {
+            (Writes::Logged { gmem, range, log }, ExecMode::Parallel { threads }) => {
                 let (stats, l) = self.run_parallel(
                     name,
                     gmem,
@@ -360,62 +356,11 @@ impl Device {
                     threads.max(1),
                     range,
                 )?;
-                log.extend(l);
-                Ok(stats)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<E: BlockSim>(
-        &self,
-        kernel: &Kernel,
-        gmem: &mut GlobalMemory,
-        mode: ExecMode,
-        detect_races: bool,
-        ell: u64,
-        make: &(impl Fn() -> E + Sync),
-        replayable: bool,
-        slot: TraceSlot<'_>,
-    ) -> Result<KernelStats, SimError> {
-        let range = (0, kernel.blocks());
-        match mode {
-            ExecMode::Sequential => {
-                if detect_races {
-                    // Race detection requires deferred writes; timing is
-                    // unchanged (same event loop, shared controller).
-                    let mut log = Vec::new();
-                    let stats = {
-                        let mut acc = GmemAccess::Logged { base: &*gmem, log: &mut log };
-                        self.run_sequential(
-                            &kernel.name,
-                            &mut acc,
-                            ell,
-                            make,
-                            replayable,
-                            slot,
-                            range,
-                        )?
-                    };
-                    apply_write_log(kernel, gmem, log, true)?;
-                    Ok(stats)
+                if log.is_empty() {
+                    *log = l;
                 } else {
-                    let mut acc = GmemAccess::Direct(gmem);
-                    self.run_sequential(&kernel.name, &mut acc, ell, make, replayable, slot, range)
+                    log.extend(l);
                 }
-            }
-            ExecMode::Parallel { threads } => {
-                let (stats, log) = self.run_parallel(
-                    &kernel.name,
-                    gmem,
-                    ell,
-                    make,
-                    replayable,
-                    slot,
-                    threads.max(1),
-                    range,
-                )?;
-                apply_write_log(kernel, gmem, log, detect_races)?;
                 Ok(stats)
             }
         }

@@ -1,5 +1,11 @@
-//! Runs whole multi-round programs: the simulated counterpart of the
-//! paper's timed experiments.
+//! Runs whole multi-round programs on one GPU: the simulated counterpart
+//! of the paper's timed experiments.
+//!
+//! This module holds the run configuration ([`SimConfig`]), host data and
+//! the single-device report types.  [`run_program`] is a thin adapter: a
+//! single GPU is the 1-device cluster, so it runs the cluster driver
+//! ([`crate::cluster`]), the crate's only host-step interpreter, and
+//! projects the report.
 //!
 //! For each round the driver performs the inward `W` transfers, launches
 //! the kernel on the device, performs the outward `W` transfers and
@@ -11,22 +17,21 @@
 //!
 //! Functional execution always follows host-step order; **streams affect
 //! timing only**.  Every transfer/launch duration is scheduled through a
-//! per-round [`StreamTimeline`]: ops on one stream are serial, ops on
-//! different streams overlap unless they share a hardware resource (one
-//! DMA engine per direction, one compute engine), and
+//! per-round [`atgpu_model::StreamTimeline`]: ops on one stream are
+//! serial, ops on different streams overlap unless they share a hardware
+//! resource (one DMA engine per direction, one compute engine), and
 //! `SyncStream`/`SyncDevice` raise the floor.  A round's observed time is
 //! the timeline's finish — the max over per-stream chains — plus `σ`.
 //! Programs that keep everything on stream 0 time out exactly as before.
 
-use crate::device::{Device, KernelStats};
+use crate::cluster::{run_cluster_program_on, Cluster};
+use crate::device::KernelStats;
 use crate::error::SimError;
-use crate::fault::{FaultPlan, FaultRuntime, LinkEdge};
-use crate::gmem::GlobalMemory;
-use crate::trace::{SpanKind, Tracer};
-use crate::xfer::{TransferEngine, XferNoise};
+use crate::fault::FaultPlan;
+use crate::xfer::XferNoise;
 use crate::ExecMode;
 use atgpu_ir::{HostBufRole, HostStep, Program};
-use atgpu_model::{AtgpuMachine, GpuSpec, StreamResource, StreamTimeline};
+use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -246,9 +251,9 @@ impl SimReport {
 /// Rejects programs addressing stream ids the timeline cannot represent.
 ///
 /// The IR validator enforces the same bound on every built program, and
-/// [`StreamTimeline`] additionally clamps out-of-range ids to the last
-/// slot as a defensive measure — but a clamp *aliases* streams 8, 9, …
-/// onto one chain, silently changing the timing claim.  Checking here
+/// [`atgpu_model::StreamTimeline`] additionally clamps out-of-range ids
+/// to the last slot as a defensive measure — but a clamp *aliases*
+/// streams 8, 9, … onto one chain, silently changing the timing claim.  Checking here
 /// closes the one path (a hand-constructed [`Program`] passed straight
 /// to the driver) that could otherwise reach the clamp.
 pub(crate) fn check_program_streams(program: &Program) -> Result<(), SimError> {
@@ -268,27 +273,15 @@ pub(crate) fn check_program_streams(program: &Program) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Runs one round's kernel launch, folds it into the observation and
-/// returns the launch's duration in milliseconds.
-fn run_launch(
-    kernel: &atgpu_ir::Kernel,
-    device: &Device,
-    gmem: &mut GlobalMemory,
-    spec: &GpuSpec,
-    config: &SimConfig,
-    slow: f64,
-    obs: &mut RoundObservation,
-) -> Result<f64, SimError> {
-    let engine =
-        if config.use_reference { crate::EngineSel::Reference } else { crate::EngineSel::MicroOp };
-    let stats = device.run_kernel_with(kernel, gmem, config.mode, config.detect_races, engine)?;
-    obs.kernel_stats = stats;
-    let ms = stats.cycles as f64 / spec.clock_cycles_per_ms * slow;
-    obs.kernel_ms += ms;
-    Ok(ms)
-}
-
 /// Simulates `program` on a device built from `machine` + `spec`.
+///
+/// A single GPU is the 1-device cluster: this runs the cluster driver
+/// ([`crate::cluster::run_cluster_program_on`]) on
+/// `ClusterSpec::homogeneous(1, spec)` and projects its report, taking
+/// each round's `σ` from the round and everything else from device 0.
+/// Noisy runs therefore draw the cluster's link-0 jitter stream, and a
+/// scheduled death of device 0 is unrecoverable
+/// ([`SimError::DeviceLost`]).
 pub fn run_program(
     program: &Program,
     inputs: Vec<Vec<i64>>,
@@ -296,212 +289,28 @@ pub fn run_program(
     spec: &GpuSpec,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    check_program_streams(program)?;
-    let device = Device::new(*machine, *spec)?;
-    device.configure_cache(config.cache, config.cache_capacity);
-    device.configure_watchdog(config.watchdog_cycles);
-    let (bases, total_words) = program.buffer_layout(machine.b);
-    let mut gmem = GlobalMemory::new(bases, total_words, machine.b, machine.g)?;
-    let mut xfer = TransferEngine::new(spec, config.noise, config.seed);
-    let mut host = HostData::new(program, inputs)?;
-    let mut frt = FaultRuntime::new(&config.fault);
-    let mut tracer = if config.trace { Some(Tracer::new(config.trace_capacity)) } else { None };
-    // A single-device run has no survivors to recover on: a scheduled
-    // death of device 0 inside the program is immediately unrecoverable.
-    let slow = frt.as_ref().map_or(1.0, |rt| rt.clock_factor(0));
-
-    let mut rounds = Vec::with_capacity(program.rounds.len());
-    for (round_idx, round) in program.rounds.iter().enumerate() {
-        if let Some(rt) = frt.as_ref() {
-            if rt.down_at(0) == Some(round_idx) {
-                return Err(SimError::DeviceLost { device: 0, round: round_idx });
+    let cluster = Cluster::new(*machine, ClusterSpec::homogeneous(1, *spec))?;
+    cluster.configure_devices(config);
+    let report = run_cluster_program_on(&cluster, program, inputs, config)?;
+    let rounds = report
+        .rounds
+        .iter()
+        .map(|r| {
+            let d = &r.devices[0];
+            RoundObservation {
+                xfer_in_ms: d.xfer_in_ms,
+                kernel_ms: d.kernel_ms,
+                xfer_out_ms: d.xfer_out_ms,
+                sync_ms: r.sync_ms,
+                stream_ms: d.stream_ms,
+                kernel_stats: d.kernel_stats,
+                retries: d.retries,
+                backoff_ms: d.backoff_ms,
             }
-        }
-        let mut obs = RoundObservation { sync_ms: spec.sync_ms, ..RoundObservation::default() };
-        let mut tl = StreamTimeline::new();
-        for step in &round.steps {
-            match step {
-                HostStep::TransferIn {
-                    host: h,
-                    host_off,
-                    dev,
-                    dev_off,
-                    words,
-                    device: d,
-                    stream,
-                } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    let src =
-                        &host.bufs[h.0 as usize][*host_off as usize..(*host_off + *words) as usize];
-                    let dst = gmem.base(dev.0) + dev_off;
-                    let t = match (frt.as_mut(), tracer.as_mut()) {
-                        (Some(rt), Some(tr)) => {
-                            let segs = &mut tr.segs;
-                            rt.transfer_segmented(
-                                LinkEdge::Host(0),
-                                round_idx,
-                                spec.sync_ms,
-                                &mut obs.retries,
-                                &mut obs.backoff_ms,
-                                || xfer.to_device(&mut gmem, dst, src),
-                                |a, b, w| segs.push(a, b, w),
-                            )
-                        }
-                        (Some(rt), None) => rt.transfer(
-                            LinkEdge::Host(0),
-                            round_idx,
-                            spec.sync_ms,
-                            &mut obs.retries,
-                            &mut obs.backoff_ms,
-                            || xfer.to_device(&mut gmem, dst, src),
-                        ),
-                        (None, _) => xfer.to_device(&mut gmem, dst, src),
-                    };
-                    obs.xfer_in_ms += t;
-                    let (s0, e0) = tl.advance_spanned(*stream, StreamResource::HostToDevice, t);
-                    if let Some(tr) = tracer.as_mut() {
-                        let pred = xfer.link().cost_ms(1, *words);
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::HostToDevice,
-                            *stream,
-                            SpanKind::TransferIn,
-                            *words,
-                            pred,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::TransferPeer { src, dst, .. } => {
-                    // A peer copy needs a second device; route sharded
-                    // programs through `cluster::run_cluster_program`.
-                    return Err(SimError::NoSuchDevice { device: (*src).max(*dst), devices: 1 });
-                }
-                HostStep::SyncStream { device: d, stream } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    tl.sync_stream(*stream);
-                }
-                HostStep::SyncDevice { device: d } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    tl.sync_device();
-                }
-                HostStep::Launch(kernel) => {
-                    let ms = run_launch(kernel, &device, &mut gmem, spec, config, slow, &mut obs)?;
-                    let (s0, e0) = tl.advance_spanned(0, StreamResource::Compute, ms);
-                    if let Some(tr) = tracer.as_mut() {
-                        let blocks = kernel.blocks();
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::Compute,
-                            0,
-                            SpanKind::Kernel,
-                            blocks,
-                            -1.0,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::LaunchSharded { kernel, shards } => {
-                    // A sharded launch on a single device is the whole
-                    // grid (validation guarantees the shards partition
-                    // it); any other device is absent.
-                    if let Some(s) = shards.iter().find(|s| s.device != 0) {
-                        return Err(SimError::NoSuchDevice { device: s.device, devices: 1 });
-                    }
-                    let ms = run_launch(kernel, &device, &mut gmem, spec, config, slow, &mut obs)?;
-                    let (s0, e0) = tl.advance_spanned(0, StreamResource::Compute, ms);
-                    if let Some(tr) = tracer.as_mut() {
-                        let blocks = kernel.blocks();
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::Compute,
-                            0,
-                            SpanKind::Kernel,
-                            blocks,
-                            -1.0,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::TransferOut {
-                    dev,
-                    dev_off,
-                    host: h,
-                    host_off,
-                    words,
-                    device: d,
-                    stream,
-                } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    let src = gmem.base(dev.0) + dev_off;
-                    let dst = &mut host.bufs[h.0 as usize]
-                        [*host_off as usize..(*host_off + *words) as usize];
-                    let t = match (frt.as_mut(), tracer.as_mut()) {
-                        (Some(rt), Some(tr)) => {
-                            let segs = &mut tr.segs;
-                            rt.transfer_segmented(
-                                LinkEdge::Host(0),
-                                round_idx,
-                                spec.sync_ms,
-                                &mut obs.retries,
-                                &mut obs.backoff_ms,
-                                || xfer.to_host(&gmem, src, dst),
-                                |a, b, w| segs.push(a, b, w),
-                            )
-                        }
-                        (Some(rt), None) => rt.transfer(
-                            LinkEdge::Host(0),
-                            round_idx,
-                            spec.sync_ms,
-                            &mut obs.retries,
-                            &mut obs.backoff_ms,
-                            || xfer.to_host(&gmem, src, dst),
-                        ),
-                        (None, _) => xfer.to_host(&gmem, src, dst),
-                    };
-                    obs.xfer_out_ms += t;
-                    let (s0, e0) = tl.advance_spanned(*stream, StreamResource::DeviceToHost, t);
-                    if let Some(tr) = tracer.as_mut() {
-                        let pred = xfer.link().cost_ms(1, *words);
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::DeviceToHost,
-                            *stream,
-                            SpanKind::TransferOut,
-                            *words,
-                            pred,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-            }
-        }
-        obs.stream_ms = tl.finish();
-        rounds.push(obs);
-    }
-
-    let mut device_stats = device.stats();
-    for r in &rounds {
-        device_stats.retries += r.retries;
-        device_stats.backoff_ms += r.backoff_ms;
-    }
-    Ok(SimReport { rounds, host, device_stats, trace: tracer.map(Tracer::finish) })
+        })
+        .collect();
+    let device_stats = report.device_stats[0];
+    Ok(SimReport { rounds, host: report.host, device_stats, trace: report.trace })
 }
 
 #[cfg(test)]

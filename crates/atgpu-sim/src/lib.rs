@@ -443,13 +443,16 @@
 //!   injects them (drops, degradation, stragglers, device death);
 //! * [`trace`] — per-operation span recording (pooled ring), Chrome
 //!   `trace_event` export and the round-trip validator;
-//! * [`driver`] — runs whole multi-round programs and reports per-round
-//!   observed times, the simulated counterpart of the paper's "Total" and
-//!   "Kernel" series;
-//! * [`cluster`] — the multi-device layer: `N` devices with per-device
-//!   memory replicas and links, sharded launches, peer transfers, and
-//!   [`cluster::run_cluster_program`] with per-device round
-//!   observations.
+//! * [`driver`] — run configuration ([`SimConfig`]), host data and the
+//!   single-device report types (per-round observed times, the simulated
+//!   counterpart of the paper's "Total" and "Kernel" series), plus
+//!   [`run_program`], the adapter that runs a program as the 1-device
+//!   cluster and projects the report;
+//! * [`cluster`] — the multi-device layer and the crate's **only**
+//!   host-step interpreter: `N` devices with per-device memory replicas
+//!   and links, sharded launches, peer transfers, fault recovery and
+//!   tracing, and [`cluster::run_cluster_program`] with per-device round
+//!   observations.  A single GPU is the `N = 1` case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,12 +13,22 @@
 //! visibility and write ordering — undefined in the model — therefore
 //! cannot distinguish direct, deferred-log or cross-device execution,
 //! so the comparison pins down real divergence only.
+//!
+//! The same kernels also pin the single-device driver to the cluster
+//! driver at whole-program level: [`run_program`] is the 1-device
+//! cluster run, bit for bit, under noise, tracing and fault plans.
 
-use atgpu_ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, Shard};
+use atgpu_ir::{
+    AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder, Shard,
+};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::cluster::{even_shards, Cluster, ShardStats};
 use atgpu_sim::gmem::GlobalMemory;
-use atgpu_sim::{Device, EngineSel, ExecMode};
+use atgpu_sim::xfer::XferNoise;
+use atgpu_sim::{
+    run_cluster_program, run_program, Device, EngineSel, ExecMode, FaultEvent, FaultPlan, LinkEdge,
+    SimConfig,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -386,6 +396,89 @@ proptest! {
                         mode,
                         shards
                     ),
+                }
+            }
+        }
+    }
+}
+
+/// Round times as bit patterns, in `RoundObservation` field order.
+fn round_bits(xfer_in: f64, kernel: f64, xfer_out: f64, sync: f64, stream: f64) -> [u64; 5] {
+    [xfer_in.to_bits(), kernel.to_bits(), xfer_out.to_bits(), sync.to_bits(), stream.to_bits()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `run_program` is the 1-device cluster run: over random kernels in
+    /// a two-round program, with and without transfer noise, tracing and
+    /// a straggler-plus-drop fault plan, its report is bit-identical to
+    /// the projection of `run_cluster_program` on
+    /// `ClusterSpec::homogeneous(1, spec)` — round times, kernel stats,
+    /// retries, outputs, device counters and trace spans.
+    #[test]
+    fn single_device_run_is_the_one_device_cluster_run(seed in 0u64..1_000_000_000) {
+        let (kernel, machine, _, total) = gen_kernel(seed);
+        let gwords = total / 2;
+        let spec = GpuSpec { k_prime: 2, h_limit: 4, ..GpuSpec::gtx650_like() };
+        let mut pb = ProgramBuilder::new("single_vs_cluster");
+        let ha = pb.host_input("A", gwords);
+        let hc = pb.host_output("C", gwords);
+        let d0 = pb.device_alloc("in", gwords);
+        let d1 = pb.device_alloc("out", gwords);
+        pb.begin_round();
+        pb.transfer_in(ha, d0, gwords);
+        pb.launch(kernel.clone());
+        pb.begin_round();
+        pb.launch(kernel);
+        pb.transfer_out(d1, hc, gwords);
+        let program = pb.build().unwrap();
+        let input: Vec<i64> = (0..gwords as i64).map(|i| (i * 7 + seed as i64) % 17 - 8).collect();
+
+        let mut faults = FaultPlan::new(seed);
+        faults.push(FaultEvent::Straggler { device: 0, clock_factor: 1.5 });
+        faults.push(FaultEvent::TransferDrop { edge: LinkEdge::Host(0), nth: 1 });
+        for noise in [None, Some(XferNoise { rel: 0.05 })] {
+            for trace in [false, true] {
+                for fault in [FaultPlan::new(seed), faults.clone()] {
+                    let cfg = SimConfig { noise, seed, trace, fault, ..SimConfig::default() };
+                    let single = run_program(&program, vec![input.clone()], &machine, &spec, &cfg);
+                    let cluster = run_cluster_program(
+                        &program,
+                        vec![input.clone()],
+                        &machine,
+                        &ClusterSpec::homogeneous(1, spec),
+                        &cfg,
+                    );
+                    let (single, cluster) = match (single, cluster) {
+                        (Ok(s), Ok(c)) => (s, c),
+                        (Err(a), Err(b)) => {
+                            prop_assert_eq!(a, b);
+                            continue;
+                        }
+                        (a, b) => {
+                            return Err(TestCaseError::fail(format!(
+                                "one driver failed: single ok={} cluster ok={}",
+                                a.is_ok(),
+                                b.is_ok()
+                            )))
+                        }
+                    };
+                    prop_assert_eq!(single.rounds.len(), cluster.rounds.len());
+                    for (s, c) in single.rounds.iter().zip(&cluster.rounds) {
+                        let d = &c.devices[0];
+                        prop_assert_eq!(
+                            round_bits(s.xfer_in_ms, s.kernel_ms, s.xfer_out_ms, s.sync_ms, s.stream_ms),
+                            round_bits(d.xfer_in_ms, d.kernel_ms, d.xfer_out_ms, c.sync_ms, d.stream_ms)
+                        );
+                        prop_assert_eq!(s.kernel_stats, d.kernel_stats);
+                        prop_assert_eq!(s.retries, d.retries);
+                        prop_assert_eq!(s.backoff_ms.to_bits(), d.backoff_ms.to_bits());
+                    }
+                    prop_assert_eq!(single.output(hc), cluster.output(hc));
+                    prop_assert_eq!(single.device_stats, cluster.device_stats[0]);
+                    prop_assert_eq!(&single.trace, &cluster.trace);
+                    prop_assert_eq!(single.trace.is_some(), trace);
                 }
             }
         }
